@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cas/ -run=Fuzz -fuzz=FuzzNormalize -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/annindex/ -run=Fuzz -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/compid/ -run=Fuzz -fuzz=FuzzFingerprintDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/emu/ -run=Fuzz -fuzz=FuzzRegionOps -fuzztime=$(FUZZTIME)
 
 # Statement-coverage floor for the packages the observability layer leans
 # on hardest: the metrics/trace layer itself, the static-stage scorer, the

@@ -227,7 +227,7 @@ func ProfileFunc(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Functi
 // deriving the per-execution watchdog deadline from the budget.
 func executeOne(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, ex Exec) (*emu.Result, error) {
 	if ex.Budget <= 0 {
-		return emu.ExecuteObserved(ctx, dis, fn, env.Clone(), ex.Steps, ex.Obs)
+		return emu.ExecuteObserved(ctx, dis, fn, env, ex.Steps, ex.Obs)
 	}
 	if ctx == nil {
 		//patchecko:allow ctxflow nil-ctx API tolerance: Background is the documented fallback root
@@ -235,7 +235,7 @@ func executeOne(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Functio
 	}
 	ectx, cancel := context.WithTimeout(ctx, ex.Budget)
 	defer cancel()
-	return emu.ExecuteObserved(ectx, dis, fn, env.Clone(), ex.Steps, ex.Obs)
+	return emu.ExecuteObserved(ectx, dis, fn, env, ex.Steps, ex.Obs)
 }
 
 // SimilarityEnv is the fault-tolerant form of equation (2): each

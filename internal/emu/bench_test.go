@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/compiler"
@@ -48,5 +49,45 @@ func BenchmarkExecute(b *testing.B) {
 			}
 			b.ReportMetric(float64(perIter)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
 		})
+	}
+}
+
+// BenchmarkExecuteSetup measures the fixed cost of one execution — address
+// space, trace and builtin state — on a function that is a bare ret.
+func BenchmarkExecuteSetup(b *testing.B) {
+	dis, fn := handBuilt(di(isa.Instr{Op: isa.Ret}))
+	env := &minic.Env{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Execute(dis, fn, env, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestExecuteAllocBound is a machine-independent gate on per-execution
+// setup cost: a trivial function must not allocate more than 256 KiB per
+// run on average. Eagerly allocated 1 MiB heap and stack regions fail it.
+func TestExecuteAllocBound(t *testing.T) {
+	const runs, bound = 100, 256 << 10
+	mod := &minic.Module{Name: "t", Funcs: []*minic.Func{
+		minic.NewFunc("trivial", []string{"a"}, minic.Ret(minic.Add(minic.V("a"), minic.I(1)))),
+	}}
+	dis := disassembled(t, mod, isa.AMD64, compiler.O0) // O0: a real frame on the stack
+	fn, _ := dis.Lookup("trivial")
+	env := &minic.Env{Args: []int64{41}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		res, err := Execute(dis, fn, env, 0)
+		if err != nil || res.Ret != 42 {
+			t.Fatalf("run %d: ret %v, err %v", i, res, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= bound {
+		t.Errorf("Execute allocates %d bytes per run, want < %d", per, bound)
+	} else {
+		t.Logf("Execute allocates %d bytes per run", per)
 	}
 }

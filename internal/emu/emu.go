@@ -27,6 +27,7 @@ import (
 const (
 	StackTop  = 0x7ff0_0000
 	StackSize = 1 << 20
+	stackBase = StackTop - StackSize // lowest stack address
 )
 
 // DefaultStepLimit bounds executions ("infinite loop" detection).
@@ -40,18 +41,6 @@ const watchdogStride = 4096
 
 // maxCallDepth matches the interpreter's recursion budget.
 const maxCallDepth = 64
-
-// Region tags memory areas for the Table II access counters.
-type Region int
-
-// Regions.
-const (
-	RegionStack Region = iota + 1
-	RegionHeap
-	RegionLib  // read-only library data (rodata)
-	RegionAnon // the anonymously-mapped input buffer (data region)
-	RegionOther
-)
 
 // Trace aggregates the 21 dynamic features of Table II plus the raw
 // counters they derive from.
@@ -173,65 +162,90 @@ type Result struct {
 	Mem   []byte // final data-region contents
 }
 
-// taggedMem is the emulator's address space with per-region access counting.
+// The heap and the stack are lazily paged: a page is allocated by the first
+// store into it and a never-written page reads as zero, so an execution
+// pays only for the pages it dirties.
+const (
+	pageShift   = 12
+	pageSize    = 1 << pageShift
+	regionPages = StackSize / pageSize
+)
+
+// The heap fits the same page table as the stack.
+const _ uint = regionPages*pageSize - minic.HeapSize
+
+// pagedRegion is one zero-initialized region: a fixed table of 4 KiB pages,
+// each allocated on its first store. Offsets are region-relative and
+// already bounds-checked by the caller.
+type pagedRegion [regionPages]*[pageSize]byte
+
+func (r *pagedRegion) load(off int64) byte {
+	if p := r[off>>pageShift]; p != nil {
+		return p[off&(pageSize-1)]
+	}
+	return 0
+}
+
+func (r *pagedRegion) store(off int64, v byte) {
+	p := r[off>>pageShift]
+	if p == nil {
+		p = new([pageSize]byte)
+		r[off>>pageShift] = p
+	}
+	p[off&(pageSize-1)] = v
+}
+
+// taggedMem is the emulator's address space with per-region access
+// counting. Every access inside a region counts once against that region;
+// an access outside all of them (or a store to rodata) counts as "other"
+// and traps.
 type taggedMem struct {
 	data   []byte
 	rodata []byte
-	heap   []byte
-	stack  []byte
+	heap   pagedRegion
+	stack  pagedRegion
 	trace  *Trace
 }
 
 var _ minic.Memory = (*taggedMem)(nil)
 
-func (m *taggedMem) region(addr int64) (Region, []byte, int64) {
+func (m *taggedMem) LoadByte(addr int64) (byte, error) {
 	switch {
 	case addr >= minic.DataBase && addr < minic.DataBase+minic.DataSize:
-		return RegionAnon, m.data, addr - minic.DataBase
-	case addr >= minic.RodataBase && addr < minic.RodataBase+int64(len(m.rodata)):
-		return RegionLib, m.rodata, addr - minic.RodataBase
-	case addr >= minic.HeapBase && addr < minic.HeapBase+minic.HeapSize:
-		return RegionHeap, m.heap, addr - minic.HeapBase
-	case addr >= StackTop-StackSize && addr < StackTop:
-		return RegionStack, m.stack, addr - (StackTop - StackSize)
-	}
-	return RegionOther, nil, 0
-}
-
-func (m *taggedMem) count(r Region) {
-	switch r {
-	case RegionStack:
-		m.trace.StackAccess++
-	case RegionHeap:
-		m.trace.HeapAccess++
-	case RegionLib:
-		m.trace.LibAccess++
-	case RegionAnon:
 		m.trace.AnonAccess++
-	default:
-		m.trace.OthersAccess++
+		return m.data[addr-minic.DataBase], nil
+	case addr >= minic.RodataBase && addr < minic.RodataBase+int64(len(m.rodata)):
+		m.trace.LibAccess++
+		return m.rodata[addr-minic.RodataBase], nil
+	case addr >= minic.HeapBase && addr < minic.HeapBase+minic.HeapSize:
+		m.trace.HeapAccess++
+		return m.heap.load(addr - minic.HeapBase), nil
+	case addr >= stackBase && addr < StackTop:
+		m.trace.StackAccess++
+		return m.stack.load(addr - stackBase), nil
 	}
-}
-
-func (m *taggedMem) LoadByte(addr int64) (byte, error) {
-	r, buf, off := m.region(addr)
-	if buf == nil {
-		m.trace.OthersAccess++
-		return 0, &minic.TrapError{Kind: minic.TrapOOB, Addr: addr}
-	}
-	m.count(r)
-	return buf[off], nil
+	m.trace.OthersAccess++
+	return 0, &minic.TrapError{Kind: minic.TrapOOB, Addr: addr}
 }
 
 func (m *taggedMem) StoreByte(addr int64, v byte) error {
-	r, buf, off := m.region(addr)
-	if buf == nil || r == RegionLib { // rodata is not writable
-		m.trace.OthersAccess++
-		return &minic.TrapError{Kind: minic.TrapOOB, Addr: addr}
+	switch {
+	case addr >= minic.DataBase && addr < minic.DataBase+minic.DataSize:
+		m.trace.AnonAccess++
+		m.data[addr-minic.DataBase] = v
+		return nil
+	case addr >= minic.HeapBase && addr < minic.HeapBase+minic.HeapSize:
+		m.trace.HeapAccess++
+		m.heap.store(addr-minic.HeapBase, v)
+		return nil
+	case addr >= stackBase && addr < StackTop:
+		m.trace.StackAccess++
+		m.stack.store(addr-stackBase, v)
+		return nil
 	}
-	m.count(r)
-	buf[off] = v
-	return nil
+	// Rodata is not writable: a store there traps like a wild one.
+	m.trace.OthersAccess++
+	return &minic.TrapError{Kind: minic.TrapOOB, Addr: addr}
 }
 
 // frame is one activation record of the Go-side return stack (the emulator
@@ -245,7 +259,7 @@ type frame struct {
 type Machine struct {
 	ctx   context.Context // nil = no watchdog, no cancellation
 	dis   *disasm.Disassembly
-	mem   *taggedMem
+	mem   minic.Memory
 	regs  [16]int64
 	flagL int64
 	flagR int64
@@ -286,30 +300,35 @@ func ExecuteCtx(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Functio
 // is the no-op default — the run itself is identical either way, and the
 // accounting is a handful of atomic adds per execution, off the per-step
 // hot loop.
+//
+// The execution copies env.Data into its own data region, only reads
+// env.Args, and keeps no reference to env, so one env may drive any number
+// of executions, concurrent ones included, without being cloned.
 func ExecuteObserved(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64, o *obs.Metrics) (*Result, error) {
+	tr := newTrace()
+	mem := &taggedMem{data: make([]byte, minic.DataSize), rodata: dis.Image.Rodata, trace: tr}
+	return execute(ctx, dis, fn, env, limit, o, mem, mem.data, tr)
+}
+
+// execute runs fn over mem, a fresh address space whose data region is data
+// and whose accesses count into tr.
+func execute(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64, o *obs.Metrics, mem minic.Memory, data []byte, tr *Trace) (*Result, error) {
 	if limit <= 0 {
 		limit = DefaultStepLimit
 	}
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil // no deadline and not cancellable: skip the polling
 	}
-	tr := newTrace()
 	m := &Machine{
-		ctx: ctx,
-		dis: dis,
-		mem: &taggedMem{
-			data:   make([]byte, minic.DataSize),
-			rodata: dis.Image.Rodata,
-			heap:   make([]byte, minic.HeapSize),
-			stack:  make([]byte, StackSize),
-			trace:  tr,
-		},
+		ctx:   ctx,
+		dis:   dis,
+		mem:   mem,
 		bst:   minic.NewBuiltinState(),
 		trace: tr,
 		limit: limit,
 		fn:    fn,
 	}
-	copy(m.mem.data, env.Data)
+	copy(data, env.Data)
 	for i, a := range env.Args {
 		if i >= 4 {
 			break
@@ -319,16 +338,16 @@ func ExecuteObserved(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Fu
 	m.regs[m.sp()] = StackTop
 	if err := faultinject.Fire(faultinject.ExecTrap, dis.Image.LibName+":"+fn.Name); err != nil {
 		observeExec(o, tr, err)
-		return &Result{Trace: tr, Mem: m.mem.data}, err
+		return &Result{Trace: tr, Mem: data}, err
 	}
 	if err := m.run(); err != nil {
 		observeExec(o, tr, err)
 		// Partial result: the trace up to the fault is the truncated
 		// profile the fault-tolerant dynamic stage ranks with.
-		return &Result{Ret: m.regs[0], Trace: tr, Mem: m.mem.data}, err
+		return &Result{Ret: m.regs[0], Trace: tr, Mem: data}, err
 	}
 	observeExec(o, tr, nil)
-	return &Result{Ret: m.regs[0], Trace: tr, Mem: m.mem.data}, nil
+	return &Result{Ret: m.regs[0], Trace: tr, Mem: data}, nil
 }
 
 // observeExec records one execution's accounting: the execution itself, its
@@ -587,7 +606,7 @@ func (m *Machine) step(in disasm.DInstr) (bool, error) {
 
 	case isa.Push:
 		sp := m.regs[m.sp()] - 8
-		if sp < StackTop-StackSize {
+		if sp < stackBase {
 			return false, &minic.TrapError{Kind: minic.TrapStack, Msg: "stack overflow"}
 		}
 		m.regs[m.sp()] = sp

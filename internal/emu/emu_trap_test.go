@@ -66,6 +66,8 @@ func TestTrapStackCallDepthOverflow(t *testing.T) {
 func TestTrapStackPushOverflow(t *testing.T) {
 	// Enough pushes to walk the machine stack past its floor. The frame
 	// budget never triggers (no calls), so this exercises the Push guard.
+	// On the way down every stack page is written, so the trap and the
+	// counters must match the flat oracle exactly.
 	n := StackSize/8 + 1
 	instrs := make([]disasm.DInstr, 0, n+1)
 	for i := 0; i < n; i++ {
@@ -73,8 +75,16 @@ func TestTrapStackPushOverflow(t *testing.T) {
 	}
 	instrs = append(instrs, di(isa.Instr{Op: isa.Ret}))
 	dis, fn := handBuilt(instrs...)
-	_, err := Execute(dis, fn, &minic.Env{}, int64(n)+16)
+	env := &minic.Env{Args: []int64{-1}}
+	res, err := Execute(dis, fn, env, int64(n)+16)
 	wantTrap(t, err, minic.TrapStack, "stack overflow")
+	want, werr := executeFlat(dis, fn, env, int64(n)+16)
+	if d := sameOutcome(res, err, want, werr); d != "" {
+		t.Error(d)
+	}
+	if res.Trace.StackAccess != StackSize {
+		t.Errorf("stack accesses = %d, want every stack byte written once (%d)", res.Trace.StackAccess, StackSize)
+	}
 }
 
 func TestTrapStackPopUnderflow(t *testing.T) {
