@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-static fuzz-smoke cover experiments service-smoke lint
+.PHONY: build test race bench bench-static bench-e2e fuzz-smoke cover experiments service-smoke lint
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,13 @@ bench-static:
 	PATCHECKO_BENCH_OUT=$(CURDIR)/BENCH_static.json $(GO) test ./internal/detector/ -run TestWriteStaticBenchArtifact -count=1 -v
 	PATCHECKO_BENCH_OUT=$(CURDIR)/BENCH_static.json $(GO) test ./internal/embed/ -run TestWriteRetrievalBenchArtifact -count=1 -v
 	PATCHECKO_BENCH_OUT=$(CURDIR)/BENCH_static.json $(GO) test ./patchecko/ -run TestWritePrefilterBenchArtifact -count=1 -v
+
+# End-to-end benchmark: every BENCHMARK.json workload through scanbench
+# (its own Go module, built into .bench_build/). Prints each workload's
+# metrics and a JSON result line; exits non-zero if a correctness check
+# fails.
+bench-e2e:
+	bash scanbench/run.sh --workload all --seed 1 --seconds 15 --trace 0
 
 # Short fuzzing pass over every fuzz target, seeded from the checked-in
 # corpora under testdata/fuzz. Ten seconds each is enough to exercise the

@@ -79,7 +79,7 @@ func TestGoldenPrograms(t *testing.T) {
 						if got.Ret != want.Ret {
 							t.Errorf("%s/%s env %d: got %d, want %d", arch.Name, lvl, ei, got.Ret, want.Ret)
 						}
-						if string(got.Mem) != string(want.Mem) {
+						if string(got.Data()) != string(want.Mem) {
 							t.Errorf("%s/%s env %d: memory diverges", arch.Name, lvl, ei)
 						}
 					}

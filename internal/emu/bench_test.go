@@ -66,10 +66,11 @@ func BenchmarkExecuteSetup(b *testing.B) {
 }
 
 // TestExecuteAllocBound is a machine-independent gate on per-execution
-// setup cost: a trivial function must not allocate more than 256 KiB per
-// run on average. Eagerly allocated 1 MiB heap and stack regions fail it.
+// setup cost: a trivial function must not allocate more than 16 KiB per
+// run on average. An eagerly allocated region of any size (the 64 KiB
+// data region, the 1 MiB heap or stack) fails it.
 func TestExecuteAllocBound(t *testing.T) {
-	const runs, bound = 100, 256 << 10
+	const runs, bound = 100, 16 << 10
 	mod := &minic.Module{Name: "t", Funcs: []*minic.Func{
 		minic.NewFunc("trivial", []string{"a"}, minic.Ret(minic.Add(minic.V("a"), minic.I(1)))),
 	}}

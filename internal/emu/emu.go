@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/disasm"
 	"repro/internal/faultinject"
@@ -53,15 +54,16 @@ type Trace struct {
 	stackDepthSum2 float64
 
 	Instrs       int64 // F6
-	uniquePCs    map[uint64]struct{}
 	CallInstrs   int64 // F8
 	ArithInstrs  int64 // F9
 	BranchInstrs int64 // F10
 	LoadInstrs   int64 // F11
 	StoreInstrs  int64 // F12
 
-	branchFreq map[uint64]int64
-	arithFreq  map[uint64]int64
+	// visits holds one visit-count slice per function entered during the
+	// execution, in order of first entry. F7, F13 and F14 derive from it
+	// at read time.
+	visits []fnVisits
 
 	HeapAccess   int64 // F15
 	StackAccess  int64 // F16
@@ -73,24 +75,47 @@ type Trace struct {
 	Syscalls int64 // F21
 }
 
-func newTrace() *Trace {
-	return &Trace{
-		stackDepthMin: math.MaxInt64,
-		uniquePCs:     make(map[uint64]struct{}),
-		branchFreq:    make(map[uint64]int64),
-		arithFreq:     make(map[uint64]int64),
-	}
+// fnVisits counts how often each instruction of fn executed, by
+// instruction index.
+type fnVisits struct {
+	fn *disasm.Function
+	n  []int64
 }
 
-// UniqueInstrs is feature F7.
-func (t *Trace) UniqueInstrs() int64 { return int64(len(t.uniquePCs)) }
+func newTrace() *Trace {
+	return &Trace{stackDepthMin: math.MaxInt64}
+}
+
+// counts returns fn's visit-count slice, creating it on fn's first entry.
+// Only function entry looks it up; the per-step path indexes the slice.
+func (t *Trace) counts(fn *disasm.Function) []int64 {
+	for _, v := range t.visits {
+		if v.fn == fn {
+			return v.n
+		}
+	}
+	n := make([]int64, len(fn.Instrs))
+	t.visits = append(t.visits, fnVisits{fn: fn, n: n})
+	return n
+}
+
+// UniqueInstrs is feature F7: the number of distinct instruction addresses
+// executed.
+func (t *Trace) UniqueInstrs() int64 {
+	unique, _, _ := t.hot()
+	return unique
+}
 
 // PCs returns the set of executed instruction addresses. The fuzzer uses it
 // as its coverage signal.
 func (t *Trace) PCs() map[uint64]struct{} {
-	out := make(map[uint64]struct{}, len(t.uniquePCs))
-	for pc := range t.uniquePCs {
-		out[pc] = struct{}{}
+	out := make(map[uint64]struct{})
+	for _, v := range t.visits {
+		for i, c := range v.n {
+			if c > 0 {
+				out[v.fn.Addr+uint64(v.fn.Instrs[i].Offset)] = struct{}{}
+			}
+		}
 	}
 	return out
 }
@@ -111,25 +136,124 @@ func (t *Trace) StackDepthStats() (minD, maxD int64, mean, std float64) {
 
 // MaxBranchFreq is feature F13: the execution count of the hottest single
 // branch instruction.
-func (t *Trace) MaxBranchFreq() int64 { return maxVal(t.branchFreq) }
+func (t *Trace) MaxBranchFreq() int64 {
+	_, maxBranch, _ := t.hot()
+	return maxBranch
+}
 
-// MaxArithFreq is feature F14.
-func (t *Trace) MaxArithFreq() int64 { return maxVal(t.arithFreq) }
+// MaxArithFreq is feature F14: the execution count of the hottest single
+// arithmetic instruction.
+func (t *Trace) MaxArithFreq() int64 {
+	_, _, maxArith := t.hot()
+	return maxArith
+}
 
-func maxVal(m map[uint64]int64) int64 {
-	var best int64
-	for _, v := range m {
-		if v > best {
-			best = v
+// Op classes for F13/F14, in the precedence the per-step counters use.
+const (
+	classOther = iota
+	classArith
+	classBranch
+)
+
+func opClass(op isa.Op) int {
+	switch {
+	case op.IsArith() || op.IsArithFP():
+		return classArith
+	case op.IsBranch():
+		return classBranch
+	}
+	return classOther
+}
+
+// hot derives F7, F13 and F14 in one pass over the visit counts: the
+// number of executed instructions, and the visit count of the hottest
+// branch and arithmetic instruction. The features count addresses, so the
+// pass relies on every executed instruction having its own address: each
+// function's offsets increase and no two entered functions' spans
+// overlap. Disassembled code always qualifies; a layout that does not
+// (a crafted function, overlapping symbols) takes hotByAddr.
+func (t *Trace) hot() (unique, maxBranch, maxArith int64) {
+	for vi, v := range t.visits {
+		prev := -1
+		for i, c := range v.n {
+			off := v.fn.Instrs[i].Offset
+			if off <= prev {
+				return t.hotByAddr()
+			}
+			prev = off
+			if c == 0 {
+				continue
+			}
+			unique++
+			switch opClass(v.fn.Instrs[i].Op) {
+			case classArith:
+				maxArith = max(maxArith, c)
+			case classBranch:
+				maxBranch = max(maxBranch, c)
+			}
+		}
+		for _, w := range t.visits[:vi] {
+			if spansOverlap(v.fn, w.fn) {
+				return t.hotByAddr()
+			}
 		}
 	}
-	return best
+	return unique, maxBranch, maxArith
+}
+
+// spansOverlap reports whether the instruction address spans of two
+// functions with increasing offsets intersect.
+func spansOverlap(a, b *disasm.Function) bool {
+	if len(a.Instrs) == 0 || len(b.Instrs) == 0 {
+		return false
+	}
+	aLo, aHi := a.Addr+uint64(a.Instrs[0].Offset), a.Addr+uint64(a.Instrs[len(a.Instrs)-1].Offset)
+	bLo, bHi := b.Addr+uint64(b.Instrs[0].Offset), b.Addr+uint64(b.Instrs[len(b.Instrs)-1].Offset)
+	return aLo <= bHi && bLo <= aHi
+}
+
+// hotByAddr is hot for layouts where several executed instructions share
+// an address: it sorts the visited instructions by address and merges the
+// counts of each address, per op class.
+func (t *Trace) hotByAddr() (unique, maxBranch, maxArith int64) {
+	type visit struct {
+		addr  uint64
+		class int
+		n     int64
+	}
+	var vs []visit
+	for _, v := range t.visits {
+		for i, c := range v.n {
+			if c > 0 {
+				in := v.fn.Instrs[i]
+				vs = append(vs, visit{v.fn.Addr + uint64(in.Offset), opClass(in.Op), c})
+			}
+		}
+	}
+	sort.Slice(vs, func(i, j int) bool { return vs[i].addr < vs[j].addr })
+	for i := 0; i < len(vs); {
+		unique++
+		var branch, arith int64
+		j := i
+		for ; j < len(vs) && vs[j].addr == vs[i].addr; j++ {
+			switch vs[j].class {
+			case classArith:
+				arith += vs[j].n
+			case classBranch:
+				branch += vs[j].n
+			}
+		}
+		maxBranch, maxArith = max(maxBranch, branch), max(maxArith, arith)
+		i = j
+	}
+	return unique, maxBranch, maxArith
 }
 
 // Vector flattens the trace into the 21-dimensional dynamic feature vector
 // in Table II order.
 func (t *Trace) Vector() [21]float64 {
 	minD, maxD, mean, std := t.StackDepthStats()
+	unique, maxBranch, maxArith := t.hot()
 	return [21]float64{
 		float64(t.BinaryFunCalls),
 		float64(minD),
@@ -137,14 +261,14 @@ func (t *Trace) Vector() [21]float64 {
 		mean,
 		std,
 		float64(t.Instrs),
-		float64(t.UniqueInstrs()),
+		float64(unique),
 		float64(t.CallInstrs),
 		float64(t.ArithInstrs),
 		float64(t.BranchInstrs),
 		float64(t.LoadInstrs),
 		float64(t.StoreInstrs),
-		float64(t.MaxBranchFreq()),
-		float64(t.MaxArithFreq()),
+		float64(maxBranch),
+		float64(maxArith),
 		float64(t.HeapAccess),
 		float64(t.StackAccess),
 		float64(t.LibAccess),
@@ -159,40 +283,69 @@ func (t *Trace) Vector() [21]float64 {
 type Result struct {
 	Ret   int64
 	Trace *Trace
-	Mem   []byte // final data-region contents
+	data  pagedRegion // final data region
 }
 
-// The heap and the stack are lazily paged: a page is allocated by the first
-// store into it and a never-written page reads as zero, so an execution
-// pays only for the pages it dirties.
+// Data returns the final contents of the data region (minic.DataSize
+// bytes). It builds the slice on every call; only tests compare it.
+func (r *Result) Data() []byte { return r.data.bytes() }
+
+// The data region, the heap and the stack are lazily paged: a page is
+// allocated by the first store into it and a never-written page reads as
+// zero, so an execution pays only for the pages it dirties (and, for the
+// data region, the pages env.Data seeds).
 const (
-	pageShift   = 12
-	pageSize    = 1 << pageShift
-	regionPages = StackSize / pageSize
+	pageShift = 12
+	pageSize  = 1 << pageShift
 )
 
-// The heap fits the same page table as the stack.
-const _ uint = regionPages*pageSize - minic.HeapSize
+// Every region is a whole number of pages.
+const _ uint = -(minic.DataSize%pageSize | minic.HeapSize%pageSize | StackSize%pageSize)
 
-// pagedRegion is one zero-initialized region: a fixed table of 4 KiB pages,
+type page = [pageSize]byte
+
+// pagedRegion is one zero-initialized region: a table of 4 KiB pages,
 // each allocated on its first store. Offsets are region-relative and
 // already bounds-checked by the caller.
-type pagedRegion [regionPages]*[pageSize]byte
+type pagedRegion []*page
 
-func (r *pagedRegion) load(off int64) byte {
+func newPagedRegion(size int) pagedRegion { return make(pagedRegion, size>>pageShift) }
+
+func (r pagedRegion) load(off int64) byte {
 	if p := r[off>>pageShift]; p != nil {
 		return p[off&(pageSize-1)]
 	}
 	return 0
 }
 
-func (r *pagedRegion) store(off int64, v byte) {
+func (r pagedRegion) store(off int64, v byte) {
 	p := r[off>>pageShift]
 	if p == nil {
-		p = new([pageSize]byte)
+		p = new(page)
 		r[off>>pageShift] = p
 	}
 	p[off&(pageSize-1)] = v
+}
+
+// fill copies b to the start of the region, truncated at the region's end
+// as copy truncates. It allocates exactly the pages b spans.
+func (r pagedRegion) fill(b []byte) {
+	for i := 0; i < len(r) && len(b) > 0; i++ {
+		p := new(page)
+		b = b[copy(p[:], b):]
+		r[i] = p
+	}
+}
+
+// bytes materializes the region as one flat slice.
+func (r pagedRegion) bytes() []byte {
+	out := make([]byte, len(r)<<pageShift)
+	for i, p := range r {
+		if p != nil {
+			copy(out[i<<pageShift:], p[:])
+		}
+	}
+	return out
 }
 
 // taggedMem is the emulator's address space with per-region access
@@ -200,7 +353,7 @@ func (r *pagedRegion) store(off int64, v byte) {
 // an access outside all of them (or a store to rodata) counts as "other"
 // and traps.
 type taggedMem struct {
-	data   []byte
+	data   pagedRegion
 	rodata []byte
 	heap   pagedRegion
 	stack  pagedRegion
@@ -209,11 +362,25 @@ type taggedMem struct {
 
 var _ minic.Memory = (*taggedMem)(nil)
 
+// newTaggedMem returns a fresh address space whose data region starts out
+// holding data.
+func newTaggedMem(rodata, data []byte, tr *Trace) *taggedMem {
+	m := &taggedMem{
+		data:   newPagedRegion(minic.DataSize),
+		rodata: rodata,
+		heap:   newPagedRegion(minic.HeapSize),
+		stack:  newPagedRegion(StackSize),
+		trace:  tr,
+	}
+	m.data.fill(data)
+	return m
+}
+
 func (m *taggedMem) LoadByte(addr int64) (byte, error) {
 	switch {
 	case addr >= minic.DataBase && addr < minic.DataBase+minic.DataSize:
 		m.trace.AnonAccess++
-		return m.data[addr-minic.DataBase], nil
+		return m.data.load(addr - minic.DataBase), nil
 	case addr >= minic.RodataBase && addr < minic.RodataBase+int64(len(m.rodata)):
 		m.trace.LibAccess++
 		return m.rodata[addr-minic.RodataBase], nil
@@ -232,7 +399,7 @@ func (m *taggedMem) StoreByte(addr int64, v byte) error {
 	switch {
 	case addr >= minic.DataBase && addr < minic.DataBase+minic.DataSize:
 		m.trace.AnonAccess++
-		m.data[addr-minic.DataBase] = v
+		m.data.store(addr-minic.DataBase, v)
 		return nil
 	case addr >= minic.HeapBase && addr < minic.HeapBase+minic.HeapSize:
 		m.trace.HeapAccess++
@@ -251,8 +418,9 @@ func (m *taggedMem) StoreByte(addr int64, v byte) error {
 // frame is one activation record of the Go-side return stack (the emulator
 // models the link register in Go, like hardware keeps it out of data memory).
 type frame struct {
-	fn *disasm.Function
-	pc int // resume instruction index in fn
+	fn     *disasm.Function
+	pc     int     // resume instruction index in fn
+	visits []int64 // fn's visit counts
 }
 
 // Machine executes one function invocation.
@@ -269,6 +437,7 @@ type Machine struct {
 
 	fn     *disasm.Function
 	pc     int
+	visits []int64 // fn's visit counts, indexed like fn.Instrs
 	frames []frame
 }
 
@@ -306,13 +475,33 @@ func ExecuteCtx(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Functio
 // of executions, concurrent ones included, without being cloned.
 func ExecuteObserved(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64, o *obs.Metrics) (*Result, error) {
 	tr := newTrace()
-	mem := &taggedMem{data: make([]byte, minic.DataSize), rodata: dis.Image.Rodata, trace: tr}
-	return execute(ctx, dis, fn, env, limit, o, mem, mem.data, tr)
+	mem := newTaggedMem(dis.Image.Rodata, env.Data, tr)
+	res, err := execute(ctx, dis, fn, env, limit, o, mem, tr)
+	res.data = mem.data
+	return res, err
 }
 
-// execute runs fn over mem, a fresh address space whose data region is data
-// and whose accesses count into tr.
-func execute(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64, o *obs.Metrics, mem minic.Memory, data []byte, tr *Trace) (*Result, error) {
+// execute runs fn over mem, a fresh address space already holding env.Data
+// whose accesses count into tr. The caller attaches the final data region
+// to the Result.
+func execute(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64, o *obs.Metrics, mem minic.Memory, tr *Trace) (*Result, error) {
+	m := newMachine(ctx, dis, fn, env, limit, mem, tr)
+	if err := faultinject.Fire(faultinject.ExecTrap, dis.Image.LibName+":"+fn.Name); err != nil {
+		observeExec(o, tr, err)
+		return &Result{Trace: tr}, err
+	}
+	if err := m.run(); err != nil {
+		observeExec(o, tr, err)
+		// Partial result: the trace up to the fault is the truncated
+		// profile the fault-tolerant dynamic stage ranks with.
+		return &Result{Ret: m.regs[0], Trace: tr}, err
+	}
+	observeExec(o, tr, nil)
+	return &Result{Ret: m.regs[0], Trace: tr}, nil
+}
+
+// newMachine is a machine about to run fn's first instruction under env.
+func newMachine(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64, mem minic.Memory, tr *Trace) *Machine {
 	if limit <= 0 {
 		limit = DefaultStepLimit
 	}
@@ -320,15 +509,15 @@ func execute(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, 
 		ctx = nil // no deadline and not cancellable: skip the polling
 	}
 	m := &Machine{
-		ctx:   ctx,
-		dis:   dis,
-		mem:   mem,
-		bst:   minic.NewBuiltinState(),
-		trace: tr,
-		limit: limit,
-		fn:    fn,
+		ctx:    ctx,
+		dis:    dis,
+		mem:    mem,
+		bst:    minic.NewBuiltinState(),
+		trace:  tr,
+		limit:  limit,
+		fn:     fn,
+		visits: tr.counts(fn),
 	}
-	copy(data, env.Data)
 	for i, a := range env.Args {
 		if i >= 4 {
 			break
@@ -336,18 +525,7 @@ func execute(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, 
 		m.regs[i] = a
 	}
 	m.regs[m.sp()] = StackTop
-	if err := faultinject.Fire(faultinject.ExecTrap, dis.Image.LibName+":"+fn.Name); err != nil {
-		observeExec(o, tr, err)
-		return &Result{Trace: tr, Mem: data}, err
-	}
-	if err := m.run(); err != nil {
-		observeExec(o, tr, err)
-		// Partial result: the trace up to the fault is the truncated
-		// profile the fault-tolerant dynamic stage ranks with.
-		return &Result{Ret: m.regs[0], Trace: tr, Mem: data}, err
-	}
-	observeExec(o, tr, nil)
-	return &Result{Ret: m.regs[0], Trace: tr, Mem: data}, nil
+	return m
 }
 
 // observeExec records one execution's accounting: the execution itself, its
@@ -408,7 +586,6 @@ func (m *Machine) run() error {
 				Msg: fmt.Sprintf("pc %d outside function", m.pc)}
 		}
 		in := m.fn.Instrs[m.pc]
-		pcAddr := m.fn.Addr + uint64(in.Offset)
 
 		m.trace.Instrs++
 		if m.trace.Instrs > m.limit {
@@ -425,7 +602,7 @@ func (m *Machine) run() error {
 			default:
 			}
 		}
-		m.trace.uniquePCs[pcAddr] = struct{}{}
+		m.visits[m.pc]++
 		depth := int64(len(m.frames)) + 1
 		if depth < m.trace.stackDepthMin {
 			m.trace.stackDepthMin = depth
@@ -438,10 +615,8 @@ func (m *Machine) run() error {
 		switch {
 		case in.Op.IsArith() || in.Op.IsArithFP():
 			m.trace.ArithInstrs++
-			m.trace.arithFreq[pcAddr]++
 		case in.Op.IsBranch():
 			m.trace.BranchInstrs++
-			m.trace.branchFreq[pcAddr]++
 		case in.Op.IsCall():
 			m.trace.CallInstrs++
 		case in.Op.IsLoad():
@@ -569,9 +744,8 @@ func (m *Machine) step(in disasm.DInstr) (bool, error) {
 			return false, &minic.TrapError{Kind: minic.TrapStack, Msg: "call stack overflow"}
 		}
 		m.trace.BinaryFunCalls++
-		m.frames = append(m.frames, frame{fn: m.fn, pc: next})
-		m.fn = callee
-		m.pc = 0
+		m.frames = append(m.frames, frame{fn: m.fn, pc: next, visits: m.visits})
+		m.fn, m.pc, m.visits = callee, 0, m.trace.counts(callee)
 		return false, nil
 
 	case isa.CallI:
@@ -601,7 +775,7 @@ func (m *Machine) step(in disasm.DInstr) (bool, error) {
 		}
 		top := m.frames[len(m.frames)-1]
 		m.frames = m.frames[:len(m.frames)-1]
-		m.fn, m.pc = top.fn, top.pc
+		m.fn, m.pc, m.visits = top.fn, top.pc, top.visits
 		return false, nil
 
 	case isa.Push:

@@ -308,7 +308,7 @@ func TestKitchenSinkOpCoverage(t *testing.T) {
 				if got.Ret != want.Ret {
 					t.Errorf("%s/%s: ret %d, interp says %d", arch.Name, lvl, got.Ret, want.Ret)
 				}
-				if string(got.Mem) != string(want.Mem) {
+				if string(got.Data()) != string(want.Mem) {
 					t.Errorf("%s/%s: memory state diverges", arch.Name, lvl)
 				}
 			}

@@ -87,7 +87,7 @@ func Environments(refs []Ref, cfg Config) []*minic.Env {
 	tryEnv := func(env *minic.Env) (clean, interesting bool) {
 		newCov := false
 		for _, ref := range refs {
-			res, err := emu.Execute(ref.Dis, ref.Fn, env.Clone(), cfg.StepLimit)
+			res, err := emu.Execute(ref.Dis, ref.Fn, env, cfg.StepLimit)
 			if err != nil {
 				return false, false
 			}
