@@ -14,7 +14,10 @@
 //     once per (CVE, mode) and reused across every image and worker.
 //   - Scorer: a per-worker scoring context whose forward passes run
 //     entirely in reusable scratch buffers — steady-state candidate
-//     scoring performs zero heap allocations.
+//     scoring performs zero heap allocations. Each pass is sparse in the
+//     activations (nn.InferLogitSparse): after every ReLU only the
+//     surviving entries are carried into the next layer, so the roughly
+//     half of each hidden layer that ReLU zeroes costs no multiplies.
 //
 // All scoring uses the canonical split accumulation order shared with
 // Model.Similarity (see package nn), so batched results are bit-identical
@@ -115,11 +118,12 @@ func (s *Scorer) Observe(o *obs.Metrics) *Scorer {
 
 // Pair scores prepared target i against the prepared query, symmetrized
 // over both input orders — bit-identical to Model.Similarity on the raw
-// vectors. Both directions run in one interleaved forward pass that loads
-// each weight row once.
+// vectors. The two directions run one after the other: their sparsity
+// patterns differ, so there are no weight rows to share between them.
 func (s *Scorer) Pair(q *QueryHalves, ts *TargetSet, i int) float64 {
-	lqt, ltq := s.model.Net.InferLogitSplitScratch2(s.scratch,
-		q.first, ts.secondHalf(i), ts.firstHalf(i), q.second)
+	net := s.model.Net
+	lqt := net.InferLogitSparse(s.scratch, q.first, ts.secondHalf(i))
+	ltq := net.InferLogitSparse(s.scratch, ts.firstHalf(i), q.second)
 	return (nn.Sigmoid(lqt) + nn.Sigmoid(ltq)) / 2
 }
 

@@ -14,14 +14,18 @@
 // the second-position half from zero) and the two partial sums are added —
 // and provide two implementations of it:
 //
-//   - HalfApply + InferLogitSplit: the plain reference implementation,
-//     allocating as it goes. This is what Model.Similarity uses.
-//   - HalfApplyInto + Scratch + InferLogitSplitScratch: the engine
-//     implementation — allocation-free with caller-owned buffers, inner
-//     loops unrolled two output rows at a time. Unrolling across rows does
-//     not touch any single accumulator's operation sequence, so the two
-//     implementations produce bit-identical results; the batched scan path
-//     is byte-for-byte the scalar path, only faster.
+//   - HalfApply + InferLogitSplit: the plain dense reference
+//     implementation, allocating as it goes. This is what Model.Similarity
+//     uses, and the oracle the engine implementation is tested against.
+//   - HalfApplyInto + Scratch + InferLogitSparse: the engine
+//     implementation — allocation-free with caller-owned buffers, and
+//     sparse in the activations: about half of every hidden layer is an
+//     exact ReLU zero, so after each ReLU the surviving entries are
+//     compacted and the next layer accumulates only those. Every row still
+//     adds its nonzero terms in the reference's order, and a skipped
+//     w·(±0) term cannot change a nonzero sum, so for finite weights the
+//     two implementations produce bit-identical logits; the batched scan
+//     path is byte-for-byte the scalar path, only faster.
 //
 // Note the split order is NOT bit-identical to InferLogit on the
 // concatenated 96-dim input (the 49th addend lands on a different partial
@@ -88,71 +92,6 @@ func (d *Dense) HalfApplyInto(dst, x []float64, off int, withBias bool) {
 	}
 }
 
-// ApplyInto is Apply into a caller-owned buffer of length d.Out:
-// allocation-free, bit-identical to Apply.
-func (d *Dense) ApplyInto(dst, x []float64) {
-	d.HalfApplyInto(dst, x, 0, true)
-}
-
-// ApplyInto2 computes the layer on two independent inputs in one
-// interleaved pass, loading each weight row once for both. Each
-// accumulator (two rows × two inputs) follows the exact sequential order
-// of Apply on its own input, so dstA/dstB are bit-identical to two
-// ApplyInto calls. The symmetrized pair scorer uses this to push both pair
-// orders through the network together.
-func (d *Dense) ApplyInto2(dstA, dstB, xA, xB []float64) {
-	n := len(xA)
-	o := 0
-	for ; o+1 < d.Out; o += 2 {
-		r0 := d.W[o*d.In : o*d.In+n]
-		r1 := d.W[(o+1)*d.In : (o+1)*d.In+n]
-		a0, a1 := d.B[o], d.B[o+1]
-		b0, b1 := a0, a1
-		for j, xj := range xA {
-			w0, w1 := r0[j], r1[j]
-			yj := xB[j]
-			a0 += w0 * xj
-			a1 += w1 * xj
-			b0 += w0 * yj
-			b1 += w1 * yj
-		}
-		dstA[o], dstA[o+1] = a0, a1
-		dstB[o], dstB[o+1] = b0, b1
-	}
-	if o < d.Out {
-		row := d.W[o*d.In : o*d.In+n]
-		sa, sb := d.B[o], d.B[o]
-		for j, xj := range xA {
-			w := row[j]
-			sa += w * xj
-			sb += w * xB[j]
-		}
-		dstA[o], dstB[o] = sa, sb
-	}
-}
-
-// Scratch holds two forward passes worth of activation buffers (one per
-// symmetrized pair direction), sized for a specific network. A Scratch is
-// not safe for concurrent use; give each scoring goroutine its own (the
-// scan engine keeps one per worker).
-type Scratch struct {
-	bufs  [][]float64
-	bufs2 [][]float64
-}
-
-// NewScratch allocates activation buffers for every layer of the network.
-func (n *Network) NewScratch() *Scratch {
-	s := &Scratch{
-		bufs:  make([][]float64, len(n.Layers)),
-		bufs2: make([][]float64, len(n.Layers)),
-	}
-	for i, l := range n.Layers {
-		s.bufs[i] = make([]float64, l.Out)
-		s.bufs2[i] = make([]float64, l.Out)
-	}
-	return s
-}
-
 // InferLogitSplit runs a forward pass from precomputed first-layer halves:
 // first must hold the first pair position's contribution WITH the bias
 // (HalfApply(a, 0, true)), second the second position's without it
@@ -181,66 +120,108 @@ func (n *Network) InferLogitSplit(first, second []float64) float64 {
 	return h[0]
 }
 
-// InferLogitSplitScratch2 runs BOTH symmetrized directions of a pair in
-// one interleaved, allocation-free pass: every weight row is loaded once
-// and applied to both directions' activations (ApplyInto2). Each
-// direction's result is bit-identical to InferLogitSplit on its own
-// halves; this is the scorer's hot path.
-func (n *Network) InferLogitSplitScratch2(s *Scratch, firstA, secondA, firstB, secondB []float64) (float64, float64) {
-	ha, hb := s.bufs[0], s.bufs2[0]
-	for o := range ha {
-		va := firstA[o] + secondA[o]
-		if va < 0 {
-			va = 0
-		}
-		ha[o] = va
-		vb := firstB[o] + secondB[o]
-		if vb < 0 {
-			vb = 0
-		}
-		hb[o] = vb
-	}
-	for li := 1; li < len(n.Layers); li++ {
-		outA, outB := s.bufs[li], s.bufs2[li]
-		n.Layers[li].ApplyInto2(outA, outB, ha, hb)
-		if li < len(n.Layers)-1 {
-			for i := range outA {
-				if outA[i] < 0 {
-					outA[i] = 0
-				}
-				if outB[i] < 0 {
-					outB[i] = 0
-				}
-			}
-		}
-		ha, hb = outA, outB
-	}
-	return ha[0], hb[0]
+// Scratch holds one forward pass worth of buffers, sized for a specific
+// network: each layer's dense output plus one compacted list of the
+// surviving (positive or NaN) activations feeding the next layer. A
+// Scratch is not safe for concurrent use; give each scoring goroutine its
+// own (the scan engine keeps one per worker).
+type Scratch struct {
+	bufs [][]float64
+	idx  []int
+	val  []float64
 }
 
-// InferLogitSplitScratch is InferLogitSplit with zero heap allocations: all
-// intermediate activations live in the Scratch. Bit-identical to
-// InferLogitSplit.
-func (n *Network) InferLogitSplitScratch(s *Scratch, first, second []float64) float64 {
+// NewScratch allocates the scratch buffers for every layer of the network.
+func (n *Network) NewScratch() *Scratch {
+	s := &Scratch{bufs: make([][]float64, len(n.Layers))}
+	width := 0
+	for i, l := range n.Layers {
+		s.bufs[i] = make([]float64, l.Out)
+		width = max(width, l.Out)
+	}
+	s.idx = make([]int, width)
+	s.val = make([]float64, width)
+	return s
+}
+
+// InferLogitSparse is InferLogitSplit with zero heap allocations, skipping
+// the activations ReLU zeroes: after the halves-add and after every hidden
+// layer it compacts the entries with !(v <= 0) — exactly those the
+// reference ReLU does not map to ±0, so NaN and +Inf flow through as they
+// do there — and the next layer accumulates only those (applySparse).
+//
+// The logit is bit-identical to InferLogitSplit for finite weights. Every
+// output row adds the same surviving terms in the same increasing order as
+// the reference; each skipped term is w·(±0) = ±0, which leaves a nonzero
+// partial sum unchanged and can at most flip the sign of a zero one, and
+// ReLU and Sigmoid map ±0 alike. This is the scorer's hot path.
+func (n *Network) InferLogitSparse(s *Scratch, first, second []float64) float64 {
 	h := s.bufs[0]
-	for o := range h {
-		v := first[o] + second[o]
-		if v < 0 {
-			v = 0
-		}
-		h[o] = v
+	second = second[:len(first)]
+	for o, f := range first {
+		h[o] = f + second[o]
 	}
-	for li := 1; li < len(n.Layers); li++ {
+	k := compactReLU(s.idx, s.val, h)
+	last := len(n.Layers) - 1
+	for li := 1; li < last; li++ {
 		out := s.bufs[li]
-		n.Layers[li].ApplyInto(out, h)
-		if li < len(n.Layers)-1 {
-			for i := range out {
-				if out[i] < 0 {
-					out[i] = 0
-				}
-			}
-		}
-		h = out
+		n.Layers[li].applySparse(out, s.idx[:k], s.val[:k])
+		k = compactReLU(s.idx, s.val, out)
 	}
-	return h[0]
+	out := s.bufs[last]
+	n.Layers[last].applySparse(out, s.idx[:k], s.val[:k])
+	return out[0]
+}
+
+// compactReLU writes the index and value of every entry of h that survives
+// ReLU as a nonzero (!(v <= 0): positive, +Inf or NaN) into idx/val, in
+// increasing index order, and returns how many there are. Each entry is
+// stored unconditionally and the count advanced by the comparison alone,
+// which the compiler turns into a conditional move: half the activations
+// are zero in no predictable pattern, so a branch here mispredicts often.
+func compactReLU(idx []int, val []float64, h []float64) int {
+	idx, val = idx[:len(h)], val[:len(h)]
+	k := 0
+	for o, v := range h {
+		idx[k] = o
+		val[k] = v
+		if !(v <= 0) {
+			k++
+		}
+	}
+	return k
+}
+
+// applySparse computes the layer on a compacted input:
+// dst[o] = B[o] + Σ_k W[o][idx[k]]·val[k], k increasing. Inputs absent from
+// idx are taken as zero. Four output rows per pass share each gathered
+// index and value; each row is resliced to exactly d.In so one bounds check
+// per gathered index covers all four.
+func (d *Dense) applySparse(dst []float64, idx []int, val []float64) {
+	in := d.In
+	val = val[:len(idx)]
+	o := 0
+	for ; o+3 < d.Out; o += 4 {
+		r0 := d.W[o*in:][:in]
+		r1 := d.W[(o+1)*in:][:in]
+		r2 := d.W[(o+2)*in:][:in]
+		r3 := d.W[(o+3)*in:][:in]
+		s0, s1, s2, s3 := d.B[o], d.B[o+1], d.B[o+2], d.B[o+3]
+		for k, j := range idx {
+			v := val[k]
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
+		}
+		dst[o], dst[o+1], dst[o+2], dst[o+3] = s0, s1, s2, s3
+	}
+	for ; o < d.Out; o++ {
+		row := d.W[o*in:][:in]
+		s := d.B[o]
+		for k, j := range idx {
+			s += row[j] * val[k]
+		}
+		dst[o] = s
+	}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,28 +13,6 @@ func randVec(rng *rand.Rand, n int) []float64 {
 		v[i] = rng.NormFloat64()
 	}
 	return v
-}
-
-// TestApplyIntoMatchesApply pins the allocation-free layer kernel to the
-// reference Apply bit for bit, across layer shapes that exercise both the
-// unrolled pairs and the odd-row tail.
-func TestApplyIntoMatchesApply(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, shape := range [][2]int{{96, 128}, {128, 64}, {16, 7}, {5, 1}, {3, 2}} {
-		d := NewDense(shape[0], shape[1], rng)
-		for i := range d.B {
-			d.B[i] = rng.NormFloat64()
-		}
-		x := randVec(rng, shape[0])
-		want := d.Apply(x)
-		got := make([]float64, shape[1])
-		d.ApplyInto(got, x)
-		for o := range want {
-			if got[o] != want[o] {
-				t.Fatalf("%dx%d: ApplyInto[%d] = %v, Apply = %v", shape[0], shape[1], o, got[o], want[o])
-			}
-		}
-	}
 }
 
 // TestHalfApplyVariantsAgree pins HalfApplyInto to HalfApply bit for bit,
@@ -61,32 +40,117 @@ func TestHalfApplyVariantsAgree(t *testing.T) {
 	}
 }
 
-// TestApplyInto2MatchesApply pins the interleaved two-input kernel to the
-// reference Apply bit for bit on both inputs, across shapes covering the
-// unrolled rows and the tail (including the final 8→1 layer).
-func TestApplyInto2MatchesApply(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for _, shape := range [][2]int{{128, 64}, {16, 8}, {8, 1}, {5, 3}, {6, 7}} {
-		d := NewDense(shape[0], shape[1], rng)
-		for i := range d.B {
-			d.B[i] = rng.NormFloat64()
+// sparseInput returns a post-ReLU activation vector of length n in one of
+// the layouts the sparse kernel must handle: "mixed" holds positives,
+// exact +0 and exact -0 in a random pattern; "zero" is all zeros of both
+// signs (an empty compacted list); "dense" is all positive.
+func sparseInput(rng *rand.Rand, n int, kind string) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		v := math.Abs(rng.NormFloat64())
+		switch kind {
+		case "mixed":
+			switch rng.Intn(3) {
+			case 0:
+				v = 0
+			case 1:
+				v = math.Copysign(0, -1)
+			}
+		case "zero":
+			v = math.Copysign(0, float64(rng.Intn(2)*2-1))
 		}
-		xA, xB := randVec(rng, shape[0]), randVec(rng, shape[0])
-		wantA, wantB := d.Apply(xA), d.Apply(xB)
-		gotA, gotB := make([]float64, shape[1]), make([]float64, shape[1])
-		d.ApplyInto2(gotA, gotB, xA, xB)
-		for o := range wantA {
-			if gotA[o] != wantA[o] || gotB[o] != wantB[o] {
-				t.Fatalf("%dx%d row %d: ApplyInto2 (%v, %v) != Apply (%v, %v)",
-					shape[0], shape[1], o, gotA[o], gotB[o], wantA[o], wantB[o])
+		x[i] = v
+	}
+	return x
+}
+
+// TestApplySparseMatchesApply pins the sparse layer kernel to the dense
+// reference Apply on the same activations, across shapes that exercise the
+// four-row blocks and the tail (including the final 8→1 layer), and input
+// layouts from empty (output = bias) to fully dense. With zero biases the
+// skipped ±0 terms may flip the sign of a zero output, which == and every
+// later ReLU or Sigmoid treat alike.
+func TestApplySparseMatchesApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, shape := range [][2]int{{96, 128}, {128, 64}, {16, 8}, {8, 1}, {5, 3}, {6, 7}} {
+		for _, zeroBias := range []bool{false, true} {
+			d := NewDense(shape[0], shape[1], rng)
+			if !zeroBias {
+				for i := range d.B {
+					d.B[i] = rng.NormFloat64()
+				}
+			}
+			idx, val := make([]int, shape[0]), make([]float64, shape[0])
+			for _, kind := range []string{"mixed", "zero", "dense"} {
+				x := sparseInput(rng, shape[0], kind)
+				k := compactReLU(idx, val, x)
+				switch {
+				case kind == "zero" && k != 0:
+					t.Fatalf("%dx%d: %d of an all-zero input survive compaction", shape[0], shape[1], k)
+				case kind == "dense" && k != shape[0]:
+					t.Fatalf("%dx%d: %d of %d positive inputs survive compaction", shape[0], shape[1], k, shape[0])
+				}
+				want := d.Apply(x)
+				got := make([]float64, shape[1])
+				d.applySparse(got, idx[:k], val[:k])
+				for o := range want {
+					if got[o] != want[o] {
+						t.Fatalf("%dx%d %s zeroBias=%v row %d: applySparse %v != Apply %v",
+							shape[0], shape[1], kind, zeroBias, o, got[o], want[o])
+					}
+					if kind == "zero" && got[o] != d.B[o] {
+						t.Fatalf("%dx%d row %d: empty input gives %v, want bias %v", shape[0], shape[1], o, got[o], d.B[o])
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestInferLogitSplitScratch2MatchesSplit: the interleaved dual-direction
-// pass reproduces two independent reference passes bit for bit.
-func TestInferLogitSplitScratch2MatchesSplit(t *testing.T) {
+// TestCompactReLUKeepsExactlyNonzeroSurvivors: compaction keeps the
+// entries the reference ReLU leaves nonzero — positives, +Inf and NaN —
+// in index order, and drops negatives, -Inf and both zeros.
+func TestCompactReLUKeepsExactlyNonzeroSurvivors(t *testing.T) {
+	h := []float64{1.5, 0, math.Copysign(0, -1), -2, math.NaN(), math.Inf(1), math.Inf(-1), 3e-320}
+	idx, val := make([]int, len(h)), make([]float64, len(h))
+	k := compactReLU(idx, val, h)
+	wantIdx := []int{0, 4, 5, 7}
+	if k != len(wantIdx) {
+		t.Fatalf("kept %d entries %v, want indices %v", k, idx[:k], wantIdx)
+	}
+	for i, j := range wantIdx {
+		if idx[i] != j || math.Float64bits(val[i]) != math.Float64bits(h[j]) {
+			t.Fatalf("entry %d = (%d, %v), want (%d, %v)", i, idx[i], val[i], j, h[j])
+		}
+	}
+}
+
+// sameLogit reports whether two logits agree: equal under ==, or both NaN.
+func sameLogit(a, b float64) bool {
+	return a == b || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// checkSparsePass runs one pair of first-layer halves through the sparse
+// pass and the dense reference, comparing logits with == and their
+// Sigmoid scores bit for bit.
+func checkSparsePass(t *testing.T, n *Network, s *Scratch, what string, first, second []float64) {
+	t.Helper()
+	want := n.InferLogitSplit(first, second)
+	got := n.InferLogitSparse(s, first, second)
+	if !sameLogit(got, want) {
+		t.Fatalf("%s: sparse logit %v != reference %v", what, got, want)
+	}
+	if gs, ws := Sigmoid(got), Sigmoid(want); math.Float64bits(gs) != math.Float64bits(ws) {
+		t.Fatalf("%s: sparse score %v (%#x) != reference %v (%#x)",
+			what, gs, math.Float64bits(gs), ws, math.Float64bits(ws))
+	}
+}
+
+// TestInferLogitSparseMatchesSplit is the forward-pass half of the
+// batched==scalar guarantee: the sparse pass reproduces the dense
+// reference pass bit for bit, in both symmetrized directions of many
+// random pairs.
+func TestInferLogitSparseMatchesSplit(t *testing.T) {
 	n := NewPaperNetwork(6)
 	rng := rand.New(rand.NewSource(17))
 	s := n.NewScratch()
@@ -95,32 +159,61 @@ func TestInferLogitSplitScratch2MatchesSplit(t *testing.T) {
 		a, b := randVec(rng, 48), randVec(rng, 48)
 		aFirst, aSecond := l0.HalfApply(a, 0, true), l0.HalfApply(a, 48, false)
 		bFirst, bSecond := l0.HalfApply(b, 0, true), l0.HalfApply(b, 48, false)
-		wantAB := n.InferLogitSplit(aFirst, bSecond)
-		wantBA := n.InferLogitSplit(bFirst, aSecond)
-		gotAB, gotBA := n.InferLogitSplitScratch2(s, aFirst, bSecond, bFirst, aSecond)
-		if gotAB != wantAB || gotBA != wantBA {
-			t.Fatalf("trial %d: dual pass (%v, %v) != reference (%v, %v)",
-				trial, gotAB, gotBA, wantAB, wantBA)
-		}
+		checkSparsePass(t, n, s, fmt.Sprintf("trial %d a→b", trial), aFirst, bSecond)
+		checkSparsePass(t, n, s, fmt.Sprintf("trial %d b→a", trial), bFirst, aSecond)
 	}
 }
 
-// TestInferLogitSplitScratchMatchesSplit is the forward-pass half of the
-// batched==scalar guarantee: the scratch-buffer pass must reproduce the
-// allocating reference pass bit for bit, over many random half pairs.
-func TestInferLogitSplitScratchMatchesSplit(t *testing.T) {
-	n := NewPaperNetwork(3)
-	rng := rand.New(rand.NewSource(13))
+// TestInferLogitSparseSpecialActivations drives first-layer activations
+// the random pairs rarely hit: exact +0 and -0, a layer with no survivors,
+// and NaN and +Inf, which must propagate exactly as in the reference.
+func TestInferLogitSparseSpecialActivations(t *testing.T) {
+	n := NewPaperNetwork(7)
+	for li := range n.Layers {
+		for i := range n.Layers[li].B {
+			n.Layers[li].B[i] = 0.01 * float64(i%5-2)
+		}
+	}
+	rng := rand.New(rand.NewSource(18))
 	s := n.NewScratch()
-	l0 := n.Layers[0]
-	for trial := 0; trial < 50; trial++ {
-		a, b := randVec(rng, 48), randVec(rng, 48)
-		first := l0.HalfApply(a, 0, true)
-		second := l0.HalfApply(b, 48, false)
-		want := n.InferLogitSplit(first, second)
-		got := n.InferLogitSplitScratch(s, first, second)
-		if got != want {
-			t.Fatalf("trial %d: scratch logit %v != reference %v", trial, got, want)
+	width := n.Layers[0].Out
+	negZero := math.Copysign(0, -1)
+	cases := map[string]func(o int, first, second []float64){
+		// x + (-x) rounds to +0; -0 + -0 is -0.
+		"signed zeros": func(o int, first, second []float64) {
+			switch o % 3 {
+			case 0:
+				second[o] = -first[o]
+			case 1:
+				first[o], second[o] = negZero, negZero
+			}
+		},
+		"no survivors": func(o int, first, second []float64) {
+			first[o], second[o] = -math.Abs(first[o]), negZero
+		},
+		"one NaN": func(o int, first, second []float64) {
+			if o == 5 {
+				first[o] = math.NaN()
+			}
+		},
+		"one +Inf": func(o int, first, second []float64) {
+			if o == 9 {
+				second[o] = math.Inf(1)
+			}
+		},
+		"-Inf is dropped": func(o int, first, second []float64) {
+			if o%7 == 0 {
+				first[o] = math.Inf(-1)
+			}
+		},
+	}
+	for name, edit := range cases {
+		for trial := 0; trial < 5; trial++ {
+			first, second := randVec(rng, width), randVec(rng, width)
+			for o := range first {
+				edit(o, first, second)
+			}
+			checkSparsePass(t, n, s, fmt.Sprintf("%s trial %d", name, trial), first, second)
 		}
 	}
 }
@@ -145,8 +238,8 @@ func TestSplitOrderTracksConcatenated(t *testing.T) {
 	}
 }
 
-// TestInferSplitScratchAllocFree: the engine forward pass must not touch
-// the heap once the Scratch exists.
+// TestInferSplitScratchAllocFree: the engine forward pass Scorer.Pair
+// runs must not touch the heap once the Scratch exists.
 func TestInferSplitScratchAllocFree(t *testing.T) {
 	n := NewPaperNetwork(5)
 	rng := rand.New(rand.NewSource(15))
@@ -156,10 +249,10 @@ func TestInferSplitScratchAllocFree(t *testing.T) {
 	s := n.NewScratch()
 	var sink float64
 	allocs := testing.AllocsPerRun(100, func() {
-		sink += n.InferLogitSplitScratch(s, first, second)
+		sink += n.InferLogitSparse(s, first, second)
 	})
 	if allocs != 0 {
-		t.Errorf("InferLogitSplitScratch allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("InferLogitSparse allocates %.1f objects/op, want 0", allocs)
 	}
 	_ = sink
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -251,6 +252,46 @@ func TestGoldenReport(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestScorerPairMatchesSimilarityTrainedModel pins the batched scorer to
+// the scalar reference on the trained golden model, whose hidden
+// activations have the sparsity the sparse forward pass exploits (random
+// weights, as in the detector's own equivalence tests, need not): every
+// Scorer.Pair score over every CVE reference × query mode × function of
+// one image equals Model.Similarity bit for bit.
+func TestScorerPairMatchesSimilarityTrainedModel(t *testing.T) {
+	model, db, fw := goldenFixtures(t)
+	p, err := Prepare(fw.Images[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := NewAnalyzer(model, db)
+	ts := model.PrepareTargets(p.Vecs)
+	sc := model.NewScorer()
+	pairs := 0
+	for _, id := range db.IDs() {
+		entry, _ := db.Get(id)
+		for _, mode := range []QueryMode{QueryVulnerable, QueryPatched} {
+			ref, err := an.cachedRef(entry, p.Image.Arch, mode)
+			if err != nil {
+				t.Fatalf("%s %v: %v", id, mode, err)
+			}
+			q := ref.StaticVec()
+			qh := model.PrepareQuery(q)
+			for i, v := range p.Vecs {
+				got, want := sc.Pair(qh, ts, i), model.Similarity(q, v)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %v function %d: Scorer.Pair %v != Similarity %v", id, mode, i, got, want)
+				}
+				pairs++
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("no pairs compared")
+	}
+	t.Logf("%d pairs over %d functions of %s bit-identical", pairs, len(p.Vecs), p.Image.LibName)
 }
 
 // TestScanMetricsConsistency cross-checks the manifest counters against the
