@@ -107,6 +107,67 @@ func TestApplySparseMatchesApply(t *testing.T) {
 	}
 }
 
+// TestApplyIntoMatchesApply pins the sparse layer kernel as a general
+// gathered dot product: with every index listed and the raw inputs as
+// values — negatives included, as no ReLU has run — it is the dense layer
+// and reproduces Apply bit for bit, across shapes that exercise the
+// four-row blocks and the tail.
+func TestApplyIntoMatchesApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, shape := range [][2]int{{96, 128}, {128, 64}, {16, 7}, {5, 1}, {3, 2}} {
+		d := NewDense(shape[0], shape[1], rng)
+		for i := range d.B {
+			d.B[i] = rng.NormFloat64()
+		}
+		x := randVec(rng, shape[0])
+		idx := make([]int, shape[0])
+		for i := range idx {
+			idx[i] = i
+		}
+		want := d.Apply(x)
+		got := make([]float64, shape[1])
+		d.applySparse(got, idx, x)
+		for o := range want {
+			if got[o] != want[o] {
+				t.Fatalf("%dx%d: applySparse over every index [%d] = %v, Apply = %v",
+					shape[0], shape[1], o, got[o], want[o])
+			}
+		}
+	}
+}
+
+// TestApplyInto2MatchesApply: two inputs go through the sparse kernel one
+// after the other into the same destination, as Scorer.Pair's two
+// directions share one Scratch. Every row is overwritten — the destination
+// starts out NaN and the first input's rows must not leak into the
+// second's — so both outputs equal Apply bit for bit.
+func TestApplyInto2MatchesApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, shape := range [][2]int{{128, 64}, {16, 8}, {8, 1}, {5, 3}, {6, 7}} {
+		d := NewDense(shape[0], shape[1], rng)
+		for i := range d.B {
+			d.B[i] = rng.NormFloat64()
+		}
+		idx, val := make([]int, shape[0]), make([]float64, shape[0])
+		dst := make([]float64, shape[1])
+		for i := range dst {
+			dst[i] = math.NaN()
+		}
+		for _, kind := range []string{"mixed", "dense", "zero", "mixed"} {
+			x := sparseInput(rng, shape[0], kind)
+			k := compactReLU(idx, val, x)
+			d.applySparse(dst, idx[:k], val[:k])
+			want := d.Apply(x)
+			for o := range want {
+				if dst[o] != want[o] {
+					t.Fatalf("%dx%d %s row %d: applySparse after a previous input %v != Apply %v",
+						shape[0], shape[1], kind, o, dst[o], want[o])
+				}
+			}
+		}
+	}
+}
+
 // TestCompactReLUKeepsExactlyNonzeroSurvivors: compaction keeps the
 // entries the reference ReLU leaves nonzero — positives, +Inf and NaN —
 // in index order, and drops negatives, -Inf and both zeros.
@@ -214,6 +275,71 @@ func TestInferLogitSparseSpecialActivations(t *testing.T) {
 				edit(o, first, second)
 			}
 			checkSparsePass(t, n, s, fmt.Sprintf("%s trial %d", name, trial), first, second)
+		}
+	}
+}
+
+// TestInferLogitSplitScratchMatchesSplit: one Scratch reused across many
+// pairs carries nothing from one pass into the next. Before every pair a
+// pass whose activations are NaN and +Inf dirties every buffer; the pair
+// that follows must still match both a fresh Scratch and the reference.
+// The inputs are nonnegative, like extracted feature vectors.
+func TestInferLogitSplitScratchMatchesSplit(t *testing.T) {
+	n := NewPaperNetwork(3)
+	rng := rand.New(rand.NewSource(13))
+	s := n.NewScratch()
+	l0 := n.Layers[0]
+	dirty := make([]float64, l0.Out)
+	for o := range dirty {
+		dirty[o] = math.Inf(1)
+		if o%2 == 0 {
+			dirty[o] = math.NaN()
+		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		a, b := randVec(rng, 48), randVec(rng, 48)
+		for i := range a {
+			a[i], b[i] = math.Abs(a[i]), math.Abs(b[i])
+		}
+		first := l0.HalfApply(a, 0, true)
+		second := l0.HalfApply(b, 48, false)
+		n.InferLogitSparse(s, dirty, dirty)
+		got := n.InferLogitSparse(s, first, second)
+		fresh := n.InferLogitSparse(n.NewScratch(), first, second)
+		if math.Float64bits(got) != math.Float64bits(fresh) {
+			t.Fatalf("trial %d: reused Scratch gives %v, fresh Scratch %v", trial, got, fresh)
+		}
+		if want := n.InferLogitSplit(first, second); got != want {
+			t.Fatalf("trial %d: sparse logit %v != reference %v", trial, got, want)
+		}
+	}
+}
+
+// TestInferLogitSplitScratch2MatchesSplit scores pairs the way Scorer.Pair
+// does — both symmetrized directions back to back through one Scratch,
+// averaged after Sigmoid — on a network whose negative hidden biases zero
+// 64–99% of the activations of hidden layers 2–5, so rows see short
+// survivor lists and the deepest layers often see none. The pair score
+// equals the one built from two reference passes bit for bit.
+func TestInferLogitSplitScratch2MatchesSplit(t *testing.T) {
+	n := NewPaperNetwork(6)
+	for li := 1; li < len(n.Layers)-1; li++ {
+		for i := range n.Layers[li].B {
+			n.Layers[li].B[i] = -math.Abs(n.Layers[li].B[i]) - 0.6
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	s := n.NewScratch()
+	l0 := n.Layers[0]
+	for trial := 0; trial < 50; trial++ {
+		a, b := randVec(rng, 48), randVec(rng, 48)
+		aFirst, aSecond := l0.HalfApply(a, 0, true), l0.HalfApply(a, 48, false)
+		bFirst, bSecond := l0.HalfApply(b, 0, true), l0.HalfApply(b, 48, false)
+		want := (Sigmoid(n.InferLogitSplit(aFirst, bSecond)) + Sigmoid(n.InferLogitSplit(bFirst, aSecond))) / 2
+		got := (Sigmoid(n.InferLogitSparse(s, aFirst, bSecond)) + Sigmoid(n.InferLogitSparse(s, bFirst, aSecond))) / 2
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: sparse pair score %v (%#x) != reference %v (%#x)",
+				trial, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 }

@@ -779,8 +779,14 @@ func (s *Server) runJob(j *job) {
 		ctx, cancel = context.WithCancel(base)
 	}
 	defer cancel()
+	// A shutdown or client cancel that landed after the worker marked the
+	// job running but before this point found no cancel func to call: honor
+	// it now, or the scan would run to completion behind Close.
 	s.mu.Lock()
 	j.cancel = cancel
+	if s.draining || j.clientCancel {
+		cancel()
+	}
 	s.mu.Unlock()
 
 	degraded := j.shed || j.sub.StaticOnly
